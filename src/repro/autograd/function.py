@@ -37,7 +37,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from . import tensor as _tensor
 from .tensor import ArrayLike, Tensor, _unbroadcast
 
 __all__ = ["Function", "FunctionContext", "FilterScan", "filter_scan"]
@@ -121,14 +120,7 @@ class Function:
                         )
                     )
 
-        attrs = (
-            {"function": cls, "kwargs": dict(kwargs)}
-            if _tensor._tracer is not None
-            else None
-        )
-        return Tensor._from_op(
-            np.asarray(data), tensors, backward_fn, cls.__name__, attrs
-        )
+        return Tensor._from_op(np.asarray(data), tensors, backward_fn, cls.__name__)
 
 
 class FilterScan(Function):

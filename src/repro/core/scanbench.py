@@ -52,7 +52,7 @@ __all__ = [
 SCAN_EQUIVALENCE_ATOL = 1e-10
 
 #: Per-parameter gradient agreement between the analytic adjoint and
-#: the node-per-step tape (accumulation order differs).
+#: the node-per-step graph (accumulation order differs).
 SCAN_GRAD_ATOL = 1e-8
 
 

@@ -216,3 +216,26 @@ class TestComparisons:
         assert np.array_equal(a < 2.0, [True, False, False])
         assert np.array_equal(a >= 2.0, [False, True, True])
         assert np.array_equal(a <= 2.0, [True, True, False])
+
+
+class TestInterpretedParentPruning:
+    """The interpreted micro-opt: ``_from_op`` drops non-grad parents
+    from ``_parents`` so ``backward()``'s DFS never visits them."""
+
+    def test_non_grad_parents_pruned(self, rng):
+        a = Tensor(rng.uniform(size=3), requires_grad=True)
+        frozen = Tensor(rng.uniform(size=3))
+        out = a * frozen
+        assert out._parents == (a,)
+
+    def test_gradients_unaffected_by_pruning(self, rng):
+        a = Tensor(rng.uniform(size=3), requires_grad=True)
+        frozen = Tensor(rng.uniform(size=3))
+        ((a * frozen).sum()).backward()
+        np.testing.assert_array_equal(a.grad, frozen.data)
+        assert frozen.grad is None
+
+    def test_all_parents_kept_when_all_require_grad(self, rng):
+        a = Tensor(rng.uniform(size=3), requires_grad=True)
+        b = Tensor(rng.uniform(size=3), requires_grad=True)
+        assert (a * b)._parents == (a, b)

@@ -9,6 +9,7 @@ from repro.core import AdaptPNC, CHECKPOINT_FILENAME, Trainer, TrainingConfig
 from repro.core.training import TrainingHistory, _restore_rng, _rng_state
 from repro.data import load_dataset
 from repro.telemetry import Run, read_events
+from repro.utils.serialization import load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +143,53 @@ class TestResumeBitEquality:
             resume=True,
         )
         assert history.epochs_run == 4
+
+
+class TestLegacyGraphBackendFingerprint:
+    """Checkpoints written while ``TrainingConfig`` still had the
+    ``graph_backend`` field carry it in their fingerprint."""
+
+    @staticmethod
+    def _legacy_checkpoint(dataset, path, graph_backend):
+        make_trainer(tiny_config(max_epochs=2)).fit(
+            dataset.x_train,
+            dataset.y_train,
+            dataset.x_val,
+            dataset.y_val,
+            checkpoint_dir=path,
+        )
+        ckpt = path / CHECKPOINT_FILENAME
+        arrays, meta = load_checkpoint(ckpt)
+        meta["fingerprint"]["config"]["graph_backend"] = graph_backend
+        save_checkpoint(arrays, meta, ckpt)
+
+    def test_interpreted_entry_resumes(self, dataset, tmp_path):
+        expected = make_trainer(tiny_config(max_epochs=4)).fit(
+            dataset.x_train, dataset.y_train, dataset.x_val, dataset.y_val
+        )
+        self._legacy_checkpoint(dataset, tmp_path, "interpreted")
+        history = make_trainer(tiny_config(max_epochs=4)).fit(
+            dataset.x_train,
+            dataset.y_train,
+            dataset.x_val,
+            dataset.y_val,
+            checkpoint_dir=tmp_path,
+            resume=True,
+        )
+        assert history.train_loss == expected.train_loss
+        assert history.val_loss == expected.val_loss
+
+    def test_tape_entry_refused(self, dataset, tmp_path):
+        self._legacy_checkpoint(dataset, tmp_path, "tape")
+        with pytest.raises(ValueError, match="fingerprint"):
+            make_trainer(tiny_config(max_epochs=4)).fit(
+                dataset.x_train,
+                dataset.y_train,
+                dataset.x_val,
+                dataset.y_val,
+                checkpoint_dir=tmp_path,
+                resume=True,
+            )
 
 
 class TestTelemetryParity:

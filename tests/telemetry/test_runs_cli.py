@@ -1,5 +1,6 @@
 """``python -m repro runs`` and :func:`repro.report.render_run`."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from repro.core import AdaptPNC, Trainer, TrainingConfig
 from repro.data import load_dataset
 from repro.report import render_run, sparkline
 from repro.telemetry import Run, list_runs, load_epochs, summarize_run, tail_events
+from repro.telemetry.events import encode_event
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +131,46 @@ class TestRenderSweepRun:
 
     def test_no_sweep_section_without_sweep_events(self, run_dir):
         assert "## Sweep" not in render_run(run_dir)
+
+
+class TestRenderLegacyRun:
+    """Runs recorded while the trainer still had a graph-backend switch
+    carry ``backends.graph_backend`` and a ``tape`` gauge snapshot."""
+
+    @pytest.fixture()
+    def legacy_run_dir(self, tmp_path):
+        run_dir = tmp_path / "legacy-tape-run"
+        run_dir.mkdir()
+        manifest = {
+            "run_id": "legacy-tape-run", "status": "completed", "seed": 0,
+            "dataset": "CBF", "model": "AdaptPNC", "variation_aware": True,
+            "backends": {"mc_backend": "batched", "scan_backend": "fused",
+                         "graph_backend": "tape"},
+        }
+        (run_dir / "run.json").write_text(json.dumps(manifest))
+        epoch = {"epoch": 0, "train_loss": 1.1, "val_loss": 1.0, "lr": 0.1,
+                 "best_val_loss": 1.0, "best_epoch": 0, "epoch_s": 0.05}
+        gauges = {
+            "mc": {"forward_calls": 2.0, "forward_seconds": 0.1, "draws": 10.0,
+                   "draws_per_second": 100.0, "backward_calls": 1.0,
+                   "backward_seconds": 0.05},
+            "tape": {"traces": 2.0, "traced_ops": 400.0, "replays": 8.0,
+                     "cache_hits": 8.0, "cache_misses": 2.0, "fallbacks": 0.0},
+        }
+        events = [
+            encode_event("fit_start", 0.0, 0.0, {"graph_backend": "tape"}),
+            encode_event("epoch", 0.1, 0.1, epoch),
+            encode_event("run_end", 0.2, 0.2, {"status": "completed",
+                                               "span_totals": {}, "gauges": gauges}),
+        ]
+        (run_dir / "events.jsonl").write_text("\n".join(events) + "\n")
+        return run_dir
+
+    def test_renders_without_tape_block(self, legacy_run_dir):
+        text = render_run(legacy_run_dir)
+        assert "* model: AdaptPNC (variation_aware=True, mc=batched, scan=fused)" in text
+        assert "Monte-Carlo counters" in text
+        assert "## Tape" not in text and "graph=" not in text
 
 
 class TestRunsCli:
