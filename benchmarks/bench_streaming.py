@@ -3,20 +3,22 @@
 Streams one long drifting sensor stream (T >> 64) through a
 :class:`repro.core.StreamingSession` at several transport chunk sizes
 and compares step throughput against the batched one-shot plan forward.
-The session pays a fixed per-step cost (elementwise recurrence + one
-row-stable affine kernel per layer) — that is exactly what buys the
-bit-exact split-invariance contract — so the batched forward is
-expected to be faster on throughput; the interesting numbers are the
-per-step latency of the streaming path and how little the chunk size
-matters to it.
+The session runs a chunk layer by layer — each RC stage scanned over
+the whole chunk, then one row-stable affine and ptanh call per layer —
+so a call costs a fixed number of kernel calls plus a per-step scan,
+and steps/s rises with the chunk size.  ``--assert-chunk-scaling R``
+gates that: chunk-256 steps/s must be at least ``R`` times chunk-1
+steps/s, both measured in the same run so host speed cancels.  Each
+single-session run appends a compact entry to the
+``BENCH_streaming.json`` trajectory.
 
 ``--multi`` benchmarks the fleet engine instead: N concurrent streams
 stepped per-session (N independent :class:`StreamingSession` loops —
 what the serving tier did before the fleet scheduler) versus one
-:class:`repro.core.MultiStreamSession` advancing all N rows per kernel
-call, over ragged randomly-cut chunk schedules.  The aggregate-speedup
-gate (≥3x at 32 streams) is skipped on single-core runners like the
-other serving benches; every stream's trajectory must be bit-equal to
+:class:`repro.core.MultiStreamSession` advancing every called row's
+chunk in one layer-major pass, over ragged randomly-cut chunk
+schedules.  The aggregate-speedup gate (≥3x at 32 streams) is skipped
+on single-core runners like the other serving benches; every stream's trajectory must be bit-equal to
 its single-stream oracle regardless.  Each ``--multi`` run appends a
 compact entry to the ``BENCH_streaming.json`` trajectory.
 
@@ -28,6 +30,7 @@ tolerance.
 Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_streaming.py
+    PYTHONPATH=src python benchmarks/bench_streaming.py --assert-chunk-scaling 2.0
     PYTHONPATH=src python benchmarks/bench_streaming.py --multi --streams 32
     PYTHONPATH=src python benchmarks/bench_streaming.py --output streaming_bench.json
 """
@@ -49,8 +52,11 @@ EQUIVALENCE_ATOL = 1e-12
 #: Aggregate fleet speedup the --multi gate demands at 32 streams.
 MULTI_SPEEDUP_TARGET = 3.0
 
-#: Fleet-speedup trajectory across bench runs — one compact entry
-#: appended per ``--multi`` invocation.
+#: Chunk sizes the --assert-chunk-scaling gate compares (large / small).
+SCALING_CHUNKS = (256, 1)
+
+#: Streaming trajectory across bench runs — one compact entry appended
+#: per invocation (``"mode": "session"`` or the fleet's ``--multi``).
 TRAJECTORY = pathlib.Path(__file__).resolve().parent.parent / "BENCH_streaming.json"
 
 
@@ -108,6 +114,9 @@ def run(
         best = min(best, time.perf_counter() - t0)
     max_abs_delta = float(np.max(np.abs(oracle[-1] - batched_logits)))
     equivalent &= max_abs_delta <= EQUIVALENCE_ATOL
+    rate = {row["chunk_size"]: row["steps_per_sec"] for row in rows}
+    large, small = SCALING_CHUNKS
+    scaling = rate[large] / rate[small] if large in rate and small in rate else None
 
     return {
         "streaming": {
@@ -115,6 +124,7 @@ def run(
             "steps": int(steps),
             "repeats": repeats,
             "rows": rows,
+            "chunk_scaling": scaling,
             "batched_forward_s": best,
             "batched_steps_per_sec": steps / best,
             "max_abs_logit_delta_vs_plan": max_abs_delta,
@@ -225,21 +235,35 @@ def run_multi(
 
 
 def record_trajectory(record: dict, path: pathlib.Path = TRAJECTORY) -> dict:
-    """Append a compact trajectory entry for this ``--multi`` run."""
-    multi = record["multi_stream"]
-    entry = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "speedup": round(multi["speedup"], 3),
-        "per_session_steps_per_sec": round(multi["per_session_steps_per_sec"], 1),
-        "fleet_steps_per_sec": round(multi["fleet_steps_per_sec"], 1),
-        "bit_equal_oracle": multi["bit_equal_oracle"],
-        "workload": {
-            "n_streams": multi["n_streams"],
-            "steps_per_stream": multi["steps_per_stream"],
-            "max_chunk": multi["max_chunk"],
-            "rounds": multi["rounds"],
-        },
-    }
+    """Append a compact trajectory entry for this run (either mode)."""
+    entry = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
+    if "multi_stream" in record:
+        multi = record["multi_stream"]
+        entry.update({
+            "speedup": round(multi["speedup"], 3),
+            "per_session_steps_per_sec": round(multi["per_session_steps_per_sec"], 1),
+            "fleet_steps_per_sec": round(multi["fleet_steps_per_sec"], 1),
+            "bit_equal_oracle": multi["bit_equal_oracle"],
+            "workload": {
+                "n_streams": multi["n_streams"],
+                "steps_per_stream": multi["steps_per_stream"],
+                "max_chunk": multi["max_chunk"],
+                "rounds": multi["rounds"],
+            },
+        })
+    else:
+        single = record["streaming"]
+        scaling = single["chunk_scaling"]
+        entry.update({
+            "mode": "session",
+            "steps_per_sec": {
+                str(row["chunk_size"]): round(row["steps_per_sec"], 1)
+                for row in single["rows"]
+            },
+            "chunk_scaling": None if scaling is None else round(scaling, 3),
+            "equivalent": single["equivalent"],
+            "workload": {"steps": single["steps"], "repeats": single["repeats"]},
+        })
     entries = json.loads(path.read_text()) if path.exists() else []
     entries.append(entry)
     path.write_text(json.dumps(entries, indent=2) + "\n")
@@ -304,6 +328,14 @@ def main() -> int:
         default=MULTI_SPEEDUP_TARGET,
         help="fail --multi below this aggregate speedup (skipped on 1 core; "
         "0 disables)",
+    )
+    parser.add_argument(
+        "--assert-chunk-scaling",
+        type=float,
+        default=0.0,
+        metavar="R",
+        help="fail unless chunk-%d steps/s >= R x chunk-%d steps/s "
+        "(0 disables)" % SCALING_CHUNKS,
     )
     args = parser.parse_args()
 
@@ -374,11 +406,27 @@ def main() -> int:
         f"(tolerance {record['equivalence_atol']:.0e}) — "
         + ("equivalent" if record["equivalent"] else "NOT equivalent")
     )
+    scaling = record["chunk_scaling"]
+    if scaling is not None:
+        print("chunk-%d / chunk-%d steps/s: " % SCALING_CHUNKS + f"{scaling:.2f}x")
+    entry = record_trajectory({"streaming": record})
+    print(f"trajectory -> {TRAJECTORY.name}: {json.dumps(entry['workload'])}")
     if args.output is not None:
         with open(args.output, "w") as fh:
             json.dump({"streaming_bench": record}, fh, indent=2)
         print(f"wrote {args.output}")
-    return 0 if record["equivalent"] else 1
+    if not record["equivalent"]:
+        return 1
+    if args.assert_chunk_scaling:
+        if scaling is None:
+            print("FAIL: --assert-chunk-scaling needs chunk sizes %d and %d"
+                  % SCALING_CHUNKS)
+            return 1
+        if scaling < args.assert_chunk_scaling:
+            print(f"FAIL: chunk scaling {scaling:.2f}x below "
+                  f"{args.assert_chunk_scaling:.1f}x")
+            return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -19,9 +19,10 @@ the active precision policy matches the one the parameters live in
 usual dtype tolerances).  This holds because every reduction is
 mirrored operation-for-operation:
 
-* the scan replays :class:`~repro.autograd.function.FilterScan`'s
+* the scan (:func:`row_stage`, the one recurrence loop the streaming
+  engines share) replays :class:`~repro.autograd.function.FilterScan`'s
   time-major recurrence (prefilled ``b ⊙ x`` buffer, densified ``a``,
-  two ufunc calls per step) on preallocated arena buffers;
+  two ufunc calls per step) into preallocated arena buffers;
 * the crossbar collapse multiplies by ε ≡ 1 exactly (IEEE ``x·1 = x``)
   and keeps the live op order ``(path · g) / denom`` and
   ``((sign·g_b) / denom) · V_dd``;
@@ -39,7 +40,7 @@ round-trip) or serialise calls.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -94,38 +95,50 @@ class _Arena:
         return buf
 
 
-# -- row-stable step kernels -------------------------------------------------
+# -- row-stable kernels ------------------------------------------------------
 #
 # The streaming engines (single-stream ``StreamingSession`` and the
-# batched ``MultiStreamSession`` fleet) advance one time step for a
-# ``(rows, features)`` matrix of concurrent streams.  Their contract is
-# that every row's result is **bit-equal regardless of how many rows
-# share the matrix** — a stream stepped alone and the same stream
-# stepped inside a 32-row fleet must produce identical bits.  BLAS
-# cannot promise that: GEMM kernels are selected by matrix shape, so
-# ``(A @ B)[i]`` differs from ``A[i:i+1] @ B`` in the last ulp for most
-# shapes (measured: float64 OpenBLAS diverges already at ``k=3, n=8``).
-# These kernels therefore stick to per-element-deterministic primitives:
-# elementwise ufuncs (whose results are independent of array shape) and
-# ``np.einsum`` with its default non-BLAS sum-of-products loop, which
-# accumulates the contracted axis in fixed index order per output
-# element — measured row-stable across shapes for float64 and float32.
-# Both streaming engines call exactly these functions, so their
-# bit-equality is structural, not coincidental.
+# ``MultiStreamSession`` fleet) advance a chunk layer by layer: each RC
+# stage is scanned over the whole ``(time, rows, n)`` chunk, then one
+# affine and one ptanh call run over all ``time·rows`` samples.  Their
+# contract is that every row's result is **bit-equal regardless of how
+# many rows or steps share the call** — a stream stepped alone, one
+# sample at a time, and the same stream inside a 32-row fleet chunk must
+# produce identical bits.  BLAS cannot promise that: GEMM kernels are
+# selected by matrix shape, so ``(A @ B)[i]`` differs from
+# ``A[i:i+1] @ B`` in the last ulp for most shapes (measured: float64
+# OpenBLAS diverges already at ``k=3, n=8``).  These kernels therefore
+# stick to per-element-deterministic primitives: elementwise ufuncs
+# (whose results are independent of array shape) and ``np.einsum`` with
+# its default non-BLAS sum-of-products loop, which accumulates the
+# contracted axis in fixed index order per output element — measured
+# row-stable across shapes for float64 and float32.  Both streaming
+# engines call exactly these functions, so their bit-equality is
+# structural, not coincidental.
 
 
-def row_stage(a: np.ndarray, b: np.ndarray, h: np.ndarray, v: np.ndarray,
-              out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """One RC-stage step ``out = a·v + b·h`` for ``(rows, n)`` state.
+def row_stage(a: np.ndarray, b: np.ndarray, x: np.ndarray, v0: np.ndarray,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Scan one RC stage ``v_k = a·v_{k-1} + b·x_k`` over a chunk.
 
-    Identical per-element op order as the live scan kernel's
-    ``v_k = a ⊙ v_{k-1} + b ⊙ x_k``; ``out``/``tmp`` are caller scratch
-    of shape ``(rows, n)``.  ``out`` may alias ``v`` (the update is
-    purely elementwise) but must not alias ``tmp`` or ``h``.
+    ``x`` is time-major ``(T, rows, n)`` and ``v0`` the carried
+    ``(rows, n)`` state before its first step; returns the ``(T, rows,
+    n)`` trajectory, written into ``out`` when given (which may alias
+    ``x``).  The recurrence is the live ``FilterScan`` kernel's:
+    ``b·x`` prefilled in one call, ``a`` densified to ``(rows, n)``
+    once, then two ufunc calls per step — so every element sees the
+    same IEEE ops whatever the chunk or row count.
     """
-    np.multiply(a, v, out=out)
-    np.multiply(b, h, out=tmp)
-    out += tmp
+    out = np.multiply(b, x, out=out)
+    a_dense = np.empty_like(v0)
+    a_dense[...] = a
+    tmp = np.empty_like(v0)
+    v = v0
+    for k in range(out.shape[0]):
+        vk = out[k]
+        np.multiply(a_dense, v, out=tmp)
+        vk += tmp
+        v = vk
     return out
 
 
@@ -266,7 +279,7 @@ class ForwardPlan:
 
     # -- streaming-state arenas -----------------------------------------
 
-    def stream_state(self, rows: int) -> "List[List[np.ndarray]]":
+    def stream_state(self, rows: int) -> List[List[np.ndarray]]:
         """Zeroed filter state for ``rows`` concurrent streams.
 
         One ``(rows, in_features)`` matrix per RC stage per layer — the
@@ -285,65 +298,23 @@ class ForwardPlan:
             for layer in self.layers
         ]
 
-    def stream_scratch(self, rows: int) -> "Dict[str, list]":
-        """Preallocated per-step scratch for ``rows``-stream stepping.
-
-        Keys: ``stage`` / ``stage_tmp`` — per layer ``(rows,
-        in_features)`` buffers for :func:`row_stage`; ``affine`` — per
-        layer ``(rows, out_features)`` buffers for :func:`row_affine` /
-        :func:`row_ptanh`.  Allocated once per engine, reused every
-        step, never shared between engines (plans themselves stay
-        stateless for streaming).
-        """
-        if rows < 1:
-            raise ValueError("stream_scratch needs rows >= 1")
-        dtype = self.dtype
-        return {
-            "stage": [
-                np.empty((rows, layer.in_features), dtype=dtype)
-                for layer in self.layers
-            ],
-            "stage_tmp": [
-                np.empty((rows, layer.in_features), dtype=dtype)
-                for layer in self.layers
-            ],
-            "affine": [
-                np.empty((rows, layer.out_features), dtype=dtype)
-                for layer in self.layers
-            ],
-        }
-
     # -- execution ------------------------------------------------------
 
     def _scan(self, x: np.ndarray, a: np.ndarray, b: np.ndarray, key: tuple) -> np.ndarray:
-        """One RC stage over ``(batch, time, n)`` — FilterScan's forward
-        on arena buffers (same time-major layout, same two ufunc calls
-        per step, so the values are bit-equal)."""
-        steps = x.shape[-2]
+        """One RC stage over ``(batch, time, n)`` — :func:`row_stage` on
+        arena buffers, in FilterScan's time-major layout, so the values
+        are bit-equal."""
         step_shape = (x.shape[0], x.shape[-1])
         arena = self.arena
         # A chained stage's input is the previous stage's moveaxis view:
         # ascontiguousarray recovers the underlying time-major buffer
         # without a copy, exactly like the live kernel.
         x_tm = np.ascontiguousarray(np.moveaxis(x, -2, 0))
-        buf = arena.buffer(key + ("buf",), (steps,) + step_shape, self.dtype)
-        np.multiply(b[None], x_tm, out=buf)
-        a_d = arena.constant(
-            key + ("a_dense",),
-            step_shape,
-            lambda: np.ascontiguousarray(np.broadcast_to(a, step_shape)),
-        )
+        buf = arena.buffer(key + ("buf",), x_tm.shape, self.dtype)
         v0 = arena.constant(
             key + ("v0",), step_shape, lambda: np.zeros(step_shape, dtype=self.dtype)
         )
-        tmp = arena.buffer(key + ("tmp",), step_shape, self.dtype)
-        v = v0
-        for k in range(steps):
-            vk = buf[k]
-            np.multiply(a_d, v, out=tmp)
-            vk += tmp
-            v = vk
-        return np.moveaxis(buf, 0, -2)
+        return np.moveaxis(row_stage(a, b, x_tm, v0, out=buf), 0, -2)
 
     def forward(self, x) -> np.ndarray:
         """Logits ``(batch, n_classes)`` for a batch of series."""

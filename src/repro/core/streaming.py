@@ -6,18 +6,20 @@ state.  This module mirrors that operating mode in software:
 
 * :class:`StreamingSession` — the single-stream engine.  It executes a
   frozen :class:`~repro.compile.ForwardPlan` (compiled on the fly from
-  a live model if needed) one time step at a time, carrying every RC
-  stage's ``v_{k-1}`` across :meth:`~StreamingSession.process` calls,
-  so an unbounded stream can be consumed in arbitrary chunk sizes.
+  a live model if needed) one chunk at a time, layer by layer,
+  carrying every RC stage's ``v_{k-1}`` across
+  :meth:`~StreamingSession.process` calls, so an unbounded stream can
+  be consumed in arbitrary chunk sizes.
   :meth:`~StreamingSession.state_dict` / ``save_state`` /
   ``load_state`` snapshot the carried state to an npz for bit-equal
   resume after a restart.
 * :class:`MultiStreamSession` — the batched fleet engine.  The filter
   state of up to ``capacity`` concurrent streams lives as one
   ``(streams, features)`` matrix per RC stage, and one call advances
-  every active stream per layer per step.  Streams join/leave/reset
-  mid-flight against a row free-list; ragged chunk lengths are padded
-  and masked.  Each row is **bit-equal** to a lone
+  the streams it is given through the same layer-major pass.  Streams
+  join/leave/reset mid-flight against a row free-list; ragged chunks
+  are zero-padded to the longest and each row's state is taken from
+  its own last real step.  Each row is **bit-equal** to a lone
   :class:`StreamingSession` fed the same chunks, whatever the
   interleaving (see the contract below).
 * :class:`StreamingClassifier` — the sample-by-sample façade kept from
@@ -32,6 +34,12 @@ state.  This module mirrors that operating mode in software:
   accuracy-around-changepoint curves (rendered by the ``## Streaming``
   report section and the ``python -m repro stream-eval`` CLI).
 
+Both engines run one private function, :func:`_advance`: per layer it
+scans each RC stage over the whole ``(time, rows, n)`` chunk, then runs
+one affine and one ptanh over all ``time·rows`` samples — ``layers ×
+(stages + 2)`` kernel calls per chunk whatever its length or row
+count.
+
 Split- and fleet-invariance contract
 ------------------------------------
 For **any** partition of a stream into chunks — including single-sample
@@ -39,12 +47,12 @@ chunks and one giant chunk — the concatenated per-step logits are
 **bit-equal** to processing the whole stream in one call; and a stream
 stepped inside a :class:`MultiStreamSession` fleet is bit-equal to the
 same stream stepped alone, whatever the other rows are doing.  Both
-hold by construction: every step runs through the shared row-stable
+hold by construction: every sample runs through the shared row-stable
 kernels (:func:`~repro.compile.plan.row_stage`,
 :func:`~repro.compile.plan.row_affine`,
 :func:`~repro.compile.plan.row_ptanh`), whose per-row results are
-independent of how many rows share the matrix — elementwise ufuncs and
-``einsum``'s fixed-order sum-of-products loop, never a BLAS GEMM
+independent of how many steps and rows share the call — elementwise
+ufuncs and ``einsum``'s fixed-order sum-of-products loop, never a BLAS GEMM
 (whose kernel choice, hence accumulation order, depends on the row
 count).  The session agrees with the batched ``model(x)`` /
 ``plan.forward(x)`` logits to floating-point accumulation tolerance
@@ -93,6 +101,37 @@ def _resolve_plan(source, precision: Optional[str], owner: str):
     )
 
 
+def _advance(plan, state, x: np.ndarray, final) -> np.ndarray:
+    """Run a time-major chunk through ``plan`` layer by layer.
+
+    ``x`` is ``(T, rows, in_channels)``; ``state`` holds per layer, per
+    RC stage the carried ``(rows, n)`` matrices; ``final`` indexes each
+    row's last real step in a ``(T, rows, n)`` trajectory (later steps
+    are padding).  Each stage is scanned over the whole chunk with
+    :func:`~repro.compile.plan.row_stage`, then one
+    :func:`~repro.compile.plan.row_affine` and one
+    :func:`~repro.compile.plan.row_ptanh` run over all ``T·rows``
+    samples — ``layers × (stages + 2)`` kernel calls whatever the chunk
+    length or row count.  The carried state is overwritten in place
+    with ``trajectory[final]``, so padding never feeds back.  Returns
+    the unscaled ``(T, rows, n_classes)`` outputs.
+    """
+    # Looked up on every call, so a wrapped module attribute (the
+    # perfbench tracer's kernel counter) sees each kernel call.
+    from ..compile.plan import row_affine, row_ptanh, row_stage
+
+    steps, rows = x.shape[:2]
+    h = x
+    for layer, carried in zip(plan.layers, state):
+        for (a, b), v in zip(layer.stages, carried):
+            h = row_stage(a, b, h, v)
+            v[...] = h[final]
+        flat = np.empty((steps * rows, layer.out_features), dtype=plan.dtype)
+        mm = row_affine(h.reshape(steps * rows, -1), layer.weights, layer.bias, out=flat)
+        h = row_ptanh(mm, layer.eta, out=mm).reshape(steps, rows, -1)
+    return h
+
+
 class StreamingSession:
     """Stateful chunked inference over a frozen forward plan.
 
@@ -122,7 +161,6 @@ class StreamingSession:
     def __init__(self, source, precision: Optional[str] = None) -> None:
         self.plan = _resolve_plan(source, precision, "StreamingSession")
         self._state: List[List[np.ndarray]] = []
-        self._scratch = self.plan.stream_scratch(1)
         self._steps = 0
         self._last_logits: Optional[np.ndarray] = None
         self.reset()
@@ -239,30 +277,11 @@ class StreamingSession:
         the filter state forward, so consecutive calls are bit-equal to
         one call over the concatenated chunk (see module docstring).
         """
-        from ..compile.plan import row_affine, row_ptanh, row_stage
-
         plan = self.plan
         x = plan.coerce_series(chunk)
-        steps = x.shape[0]
-        out = np.empty((steps, plan.n_classes), dtype=plan.dtype)
-        layers = plan.layers
-        state = self._state
-        stage_tmp = self._scratch["stage_tmp"]
-        affine = self._scratch["affine"]
-        for k in range(steps):
-            h = x[k : k + 1]
-            for li, layer in enumerate(layers):
-                tmp = stage_tmp[li]
-                for si, (a, b) in enumerate(layer.stages):
-                    # Same per-element arithmetic as the batched scan
-                    # kernel (FilterScan / ForwardPlan._scan), in place
-                    # on the carried (1, in) state row.
-                    h = row_stage(a, b, h, state[li][si], out=state[li][si], tmp=tmp)
-                mm = row_affine(h, layer.weights, layer.bias, out=affine[li])
-                h = row_ptanh(mm, layer.eta, out=mm)
-            out[k] = h[0]
+        out = _advance(plan, self._state, x[:, None], -1)[:, 0]
         out *= plan.logit_scale
-        self._steps += steps
+        self._steps += x.shape[0]
         self._last_logits = out[-1].copy()
         return out
 
@@ -282,21 +301,22 @@ class StreamingSession:
 class MultiStreamSession:
     """A fleet of concurrent streams stepped as one state matrix.
 
-    Where :class:`StreamingSession` pays one Python-level step loop per
-    stream, this engine holds the RC filter state of up to ``capacity``
-    streams as a single ``(capacity, features)`` matrix per stage and
-    advances **all active streams with one kernel call per layer per
-    step** — the per-step interpreter overhead amortises over the whole
-    fleet, which is where the serving-scale throughput comes from.
+    This engine holds the RC filter state of up to ``capacity`` streams
+    as a single ``(capacity, features)`` matrix per stage and advances
+    **every stream in a call with one kernel call per layer stage** (plus
+    one affine and one ptanh per layer) — the interpreter overhead
+    amortises over the steps and the streams of the call, which is
+    where the serving-scale throughput comes from.
 
     Rows are allocated from a free-list: :meth:`open` claims a row,
     :meth:`close` discharges and releases it, :meth:`reset`
     power-cycles it in place — streams join and leave mid-flight
     without disturbing their neighbours.  :meth:`process_many` takes a
     ``{row: chunk}`` mapping of *ragged* chunks (any lengths, any
-    subset of open rows): shorter chunks are zero-padded to the longest
-    and a per-step mask freezes each row's state the moment its chunk
-    ends, so per-stream chunk boundaries never synchronise.
+    subset of open rows): only those rows are computed, their chunks
+    zero-padded to the longest, and each row's state is written back
+    from its own last real step, so per-stream chunk boundaries never
+    synchronise.
 
     **Fleet-invariance.**  Every row's logits are bit-equal to a lone
     :class:`StreamingSession` over the same plan fed the same chunks
@@ -305,8 +325,9 @@ class MultiStreamSession:
     guarantee: both engines call exactly the row-stable kernels in
     ``repro.compile.plan`` (elementwise ufuncs + fixed-order
     ``einsum``), whose per-row bits do not depend on the row count.
-    Free and masked rows are carried untouched (masked write-back), so
-    a padded step cannot perturb anyone's state.
+    Rows outside the call are never read or written, and padded steps
+    come after a row's last real step, so padding cannot perturb
+    anyone's state.
 
     Not thread-safe: the serving tier serialises access through its
     fleet scheduler.
@@ -319,13 +340,11 @@ class MultiStreamSession:
         self.plan = _resolve_plan(source, precision, "MultiStreamSession")
         self.capacity = int(capacity)
         self._state = self.plan.stream_state(self.capacity)
-        self._scratch = self.plan.stream_scratch(self.capacity)
         self._occupied = np.zeros(self.capacity, dtype=bool)
         # pop() hands out the lowest free row first.
         self._free: List[int] = list(range(self.capacity - 1, -1, -1))
         self._steps = np.zeros(self.capacity, dtype=np.int64)
         self._last: List[Optional[np.ndarray]] = [None] * self.capacity
-        self._lens = np.zeros(self.capacity, dtype=np.int64)
 
     # -- row lifecycle --------------------------------------------------
 
@@ -397,15 +416,13 @@ class MultiStreamSession:
         return self.process_many({row: chunk})[int(row)]
 
     def process_many(self, chunks: Mapping[int, "np.ndarray"]) -> Dict[int, np.ndarray]:
-        """Advance several streams together through one batched step loop.
+        """Advance several streams together through one layer-major pass.
 
         ``chunks`` maps open row indices to series chunks of *any*
         (per-row independent) lengths.  Returns ``{row: (len, n_classes)
         logits}``; each row's state, ``steps_seen`` and ``last_logits``
         advance exactly as if it were processed alone.
         """
-        from ..compile.plan import row_affine, row_ptanh, row_stage
-
         plan = self.plan
         coerced: Dict[int, np.ndarray] = {}
         for row, chunk in chunks.items():
@@ -413,45 +430,21 @@ class MultiStreamSession:
             coerced[int(row)] = plan.coerce_series(chunk)
         if not coerced:
             return {}
-        lens = self._lens
-        lens[:] = 0
-        for row, x in coerced.items():
-            lens[row] = x.shape[0]
-        max_len = int(lens.max())
-        # Padded fleet input and per-step output trajectory.  Zero
-        # padding is inert for free rows (a·0 + b·0 = 0); occupied rows
-        # past their chunk end are frozen by the write-back mask below.
-        X = np.zeros((max_len, self.capacity, plan.in_channels), dtype=plan.dtype)
-        for row, x in coerced.items():
-            X[: x.shape[0], row, :] = x
-        Y = np.empty((max_len, self.capacity, plan.n_classes), dtype=plan.dtype)
-        layers = plan.layers
-        state = self._state
-        stage_scr = self._scratch["stage"]
-        stage_tmp = self._scratch["stage_tmp"]
-        affine = self._scratch["affine"]
-        active = np.empty((self.capacity, 1), dtype=bool)
-        for k in range(max_len):
-            np.greater(lens, k, out=active[:, 0])
-            h = X[k]
-            for li, layer in enumerate(layers):
-                scr = stage_scr[li]
-                tmp = stage_tmp[li]
-                for si, (a, b) in enumerate(layer.stages):
-                    v = state[li][si]
-                    new = row_stage(a, b, h, v, out=scr, tmp=tmp)
-                    # Only rows still inside their chunk advance; the
-                    # rest keep their carried state bit-for-bit.
-                    np.copyto(v, new, where=active)
-                    h = v
-                mm = row_affine(h, layer.weights, layer.bias, out=affine[li])
-                h = row_ptanh(mm, layer.eta, out=mm)
-            Y[k] = h
+        rows = list(coerced)
+        lens = [x.shape[0] for x in coerced.values()]
+        # Only the called rows are computed: their chunks zero-padded to
+        # the longest, their carried state gathered into a private copy.
+        X = np.zeros((max(lens), len(rows), plan.in_channels), dtype=plan.dtype)
+        for i, x in enumerate(coerced.values()):
+            X[: lens[i], i] = x
+        state = [[v[rows] for v in stages] for stages in self._state]
+        Y = _advance(plan, state, X, (np.subtract(lens, 1), np.arange(len(rows))))
+        for stages, gathered in zip(self._state, state):
+            for v, g in zip(stages, gathered):
+                v[rows] = g
         out: Dict[int, np.ndarray] = {}
-        for row, x in coerced.items():
-            n = x.shape[0]
-            logits = Y[:n, row].copy()
-            logits *= plan.logit_scale
+        for i, (row, n) in enumerate(zip(rows, lens)):
+            logits = Y[:n, i] * plan.logit_scale
             out[row] = logits
             self._steps[row] += n
             self._last[row] = logits[-1].copy()

@@ -23,9 +23,10 @@ HTTP layer:
   streaming session is one row of a per-model
   :class:`~repro.core.MultiStreamSession`, and a dedicated stream
   dispatcher coalesces concurrent chunks for the same model (one per
-  session, any lengths) into a single batched fleet step — the
-  per-step Python overhead amortises across every active stream
-  instead of being paid per session.  Row bit-equality to a lone
+  session, any lengths) into a single fleet call, one layer-major pass
+  over every coalesced chunk — the Python overhead amortises across
+  the steps and streams of the call instead of being paid per sample
+  per session.  Row bit-equality to a lone
   :class:`~repro.core.StreamingSession` is the engine's contract, so
   coalescing never changes anyone's logits.  The stream queue is
   bounded like the request queue (full → :class:`QueueFullError` →

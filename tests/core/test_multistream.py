@@ -43,8 +43,12 @@ class TestFleetOracleGrid:
     """Deterministic bit-equality grid: topologies, precisions, raggedness."""
 
     @pytest.mark.parametrize("model_cls", [PTPNC, AdaptPNC])
-    @pytest.mark.parametrize("capacity", [1, 3, 8])
-    def test_ragged_rounds_bit_equal_oracle(self, model_cls, capacity):
+    @pytest.mark.parametrize(
+        "capacity, max_len",
+        [(1, 12), (3, 12), (8, 12), (8, 256)],
+        ids=["1", "3", "8", "8-long"],
+    )
+    def test_ragged_rounds_bit_equal_oracle(self, model_cls, capacity, max_len):
         plan = _plan(model_cls)
         fleet = MultiStreamSession(plan, capacity=capacity)
         rng = np.random.default_rng(7)
@@ -52,7 +56,8 @@ class TestFleetOracleGrid:
         oracles = {r: StreamingSession(plan) for r in rows}
         for _ in range(6):
             chunks = {
-                r: rng.standard_normal(int(rng.integers(1, 13))) for r in rows
+                r: rng.standard_normal(int(rng.integers(1, max_len + 1)))
+                for r in rows
             }
             results = fleet.process_many(chunks)
             assert set(results) == set(rows)
@@ -106,6 +111,27 @@ class TestFleetOracleGrid:
             results = fleet.process_many(chunks)
             for r in sub:
                 assert np.array_equal(results[r], oracles[r].process(chunks[r]))
+        for r in rows:
+            _assert_row_state_agrees(fleet, r, oracles[r])
+
+        # The serving shape: a capacity-64 fleet, every row occupied and
+        # charged, 2-4 rows stepping long ragged chunks per call while the
+        # rest sit idle; a last round steps every row to expose any idle
+        # row whose carried state moved.
+        fleet = MultiStreamSession(plan, capacity=64)
+        rows = [fleet.open() for _ in range(64)]
+        oracles = {r: StreamingSession(plan) for r in rows}
+        rounds = [rows] + [
+            list(rng.choice(rows, size=int(rng.integers(2, 5)), replace=False))
+            for _ in range(10)
+        ] + [rows]
+        for sub in rounds:
+            chunks = {
+                int(r): rng.standard_normal(int(rng.integers(1, 257))) for r in sub
+            }
+            results = fleet.process_many(chunks)
+            for r, chunk in chunks.items():
+                assert np.array_equal(results[r], oracles[r].process(chunk))
         for r in rows:
             _assert_row_state_agrees(fleet, r, oracles[r])
 

@@ -6,8 +6,10 @@ import pytest
 from repro.autograd import no_grad
 from repro.circuits import filter_stages
 from repro.compile import compile_plan
+from repro.compile import plan as plan_module
 from repro.core import (
     AdaptPNC,
+    MultiStreamSession,
     PTPNC,
     StreamingClassifier,
     StreamingSession,
@@ -124,6 +126,61 @@ class TestPlanRegression:
         session = StreamingSession(PTPNC(2, rng=np.random.default_rng(0)))
         with pytest.raises(ValueError):
             session.predict()
+
+
+class TestKernelCalls:
+    """A chunk costs ``layers × (stages + 2)`` row-kernel calls, whatever
+    its length or row count: each RC stage is scanned over the whole
+    chunk, then one affine and one ptanh run over every sample.
+
+    The counters wrap the ``repro.compile.plan`` module attributes, as
+    perfbench's ``--trace`` kernel counter does, so this also pins that
+    the three kernels stay module attributes looked up at call time.
+    """
+
+    KERNELS = ("row_stage", "row_affine", "row_ptanh")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = dict.fromkeys(self.KERNELS, 0)
+        for name in self.KERNELS:
+            kernel = getattr(plan_module, name)
+
+            def counted(*args, _name=name, _kernel=kernel, **kwargs):
+                counts[_name] += 1
+                return _kernel(*args, **kwargs)
+
+            monkeypatch.setattr(plan_module, name, counted)
+        return counts
+
+    @staticmethod
+    def _expected(plan):
+        return {
+            "row_stage": sum(len(layer.stages) for layer in plan.layers),
+            "row_affine": len(plan.layers),
+            "row_ptanh": len(plan.layers),
+        }
+
+    @pytest.fixture(scope="class")
+    def plan(self):
+        return compile_plan(AdaptPNC(3, rng=np.random.default_rng(0)))
+
+    @pytest.mark.parametrize("steps", [1, 4, 64, 256])
+    def test_session_process(self, plan, calls, steps):
+        session = StreamingSession(plan)
+        session.process(np.zeros(steps))
+        assert calls == self._expected(plan)
+        assert sum(calls.values()) == len(plan.layers) * (plan.filter_order + 2)
+
+    @pytest.mark.parametrize("rows, max_len", [(1, 1), (3, 16), (8, 256)])
+    def test_fleet_process_many(self, plan, calls, rows, max_len):
+        fleet = MultiStreamSession(plan, capacity=8)
+        opened = [fleet.open() for _ in range(rows)]
+        rng = np.random.default_rng(rows)
+        fleet.process_many(
+            {r: rng.standard_normal(int(rng.integers(1, max_len + 1))) for r in opened}
+        )
+        assert calls == self._expected(plan)
 
 
 class TestEvaluateStreaming:
