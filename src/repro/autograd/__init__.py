@@ -6,7 +6,16 @@ Public API::
 """
 
 from .context import enable_grad, is_grad_enabled, no_grad, set_grad_enabled
-from .function import FilterScan, Function, FunctionContext, filter_scan
+from .function import (
+    CrossbarAffine,
+    FilterScan,
+    Function,
+    FunctionContext,
+    PrintedTanhFn,
+    crossbar_affine,
+    filter_scan,
+    printed_tanh,
+)
 from .functional import (
     concat,
     log_softmax,
@@ -48,6 +57,10 @@ __all__ = [
     "FunctionContext",
     "FilterScan",
     "filter_scan",
+    "CrossbarAffine",
+    "crossbar_affine",
+    "PrintedTanhFn",
+    "printed_tanh",
     "no_grad",
     "enable_grad",
     "is_grad_enabled",

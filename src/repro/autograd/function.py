@@ -26,9 +26,22 @@ its input's shape via the engine's ``_unbroadcast`` before
 accumulation, so backwards may return gradients in the (numpy-)
 broadcast result shape.
 
-:class:`FilterScan` — the fused RC-recurrence kernel behind the
-learnable printed filters (``scan_backend="fused"``) — is the first
-user; see :func:`filter_scan` for the adjoint derivation.
+Users:
+
+* :class:`FilterScan` — the RC-recurrence kernel behind the learnable
+  printed filters (``scan_backend="fused"``); see :func:`filter_scan`
+  for the adjoint derivation;
+* :class:`CrossbarAffine` — the crossbar's closing ``x @ Wᵀ + b``
+  (:func:`crossbar_affine`);
+* :class:`PrintedTanhFn` — the printed-tanh transfer
+  ``η₁ + η₂·tanh((x − η₃)·η₄)`` (:func:`printed_tanh`).
+
+The last two replace short ladders of interpreted nodes whose cost was
+one full-size temporary, one ``_unbroadcast`` reduction and one
+first-gradient copy per node.  Their backwards replay the interpreter's
+per-element op sequence and reduce each gradient in the same order, so
+values and gradients are bit-equal to the ladders they replace (the
+ladders survive only as the oracles in ``tests/autograd``).
 """
 
 from __future__ import annotations
@@ -39,7 +52,16 @@ import numpy as np
 
 from .tensor import ArrayLike, Tensor, _unbroadcast
 
-__all__ = ["Function", "FunctionContext", "FilterScan", "filter_scan"]
+__all__ = [
+    "Function",
+    "FunctionContext",
+    "FilterScan",
+    "filter_scan",
+    "CrossbarAffine",
+    "crossbar_affine",
+    "PrintedTanhFn",
+    "printed_tanh",
+]
 
 
 class FunctionContext:
@@ -289,3 +311,129 @@ def filter_scan(x: ArrayLike, a: ArrayLike, b: ArrayLike, v0: ArrayLike) -> Tens
     reverse-time adjoint (see :class:`FilterScan`).
     """
     return FilterScan.apply(x, a, b, v0)
+
+
+class CrossbarAffine(Function):
+    """Fused crossbar read-out ``y = x @ Wᵀ + b`` (one graph node).
+
+    ``W`` is the crossbar's effective ``(out, in)`` weight matrix and
+    ``b`` its ``(out,)`` bias voltages; in batched Monte-Carlo mode both
+    carry a leading draws axis (``(draws, out, in)``, ``(draws, out)``)
+    and ``x`` is ``(draws, batch, in)`` or a shared ``(batch, in)``
+    broadcast over draws.  Backward: ``∂L/∂x = g @ W``,
+    ``∂L/∂Wᵀ = xᵀ @ g``, ``∂L/∂b = Σ_batch g`` — the same GEMMs on the
+    same operand layouts, and the same reductions, as the interpreted
+    ``matmul``/``swapaxes``/``unsqueeze``/``add`` ladder.
+    """
+
+    @staticmethod
+    def forward(
+        ctx: FunctionContext, x: np.ndarray, weights: np.ndarray, bias: np.ndarray
+    ) -> np.ndarray:
+        """``x @ weightsᵀ + bias``; saves ``x`` and ``weights``."""
+        ctx.save_for_backward(x, weights)
+        ctx.bias_shape = bias.shape
+        out = x @ np.swapaxes(weights, -1, -2)
+        # Bias broadcasts over the batch axis: (out,) -> (1, out),
+        # (draws, out) -> (draws, 1, out).  In place unless the bias
+        # would promote the product's dtype.
+        return np.add(
+            out, bias[..., None, :], out=out if out.dtype == bias.dtype else None
+        )
+
+    @staticmethod
+    def backward(
+        ctx: FunctionContext, grad: np.ndarray
+    ) -> Tuple[Optional[np.ndarray], ...]:
+        """Gradients for ``x``, ``weights`` and ``bias``, in their shapes."""
+        x, weights = ctx.saved
+        need_x, need_w, need_b = ctx.needs_input_grad
+        grad_x = _unbroadcast(grad @ weights, x.shape) if need_x else None
+        grad_w = (
+            _unbroadcast(
+                np.swapaxes(np.swapaxes(x, -1, -2) @ grad, -1, -2), weights.shape
+            )
+            if need_w
+            else None
+        )
+        if need_b:
+            shape = ctx.bias_shape
+            grad_b = _unbroadcast(grad, shape[:-1] + (1,) + shape[-1:]).reshape(shape)
+        else:
+            grad_b = None
+        return grad_x, grad_w, grad_b
+
+
+def crossbar_affine(x: ArrayLike, weights: ArrayLike, bias: ArrayLike) -> Tensor:
+    """Differentiable crossbar read-out ``x @ weightsᵀ + bias`` (see
+    :class:`CrossbarAffine` for the shapes)."""
+    return CrossbarAffine.apply(x, weights, bias)
+
+
+class PrintedTanhFn(Function):
+    """Fused printed-tanh transfer ``y = η₁ + η₂·tanh((x − η₃)·η₄)``.
+
+    ``x`` is ``(batch, n)`` (or ``(draws, batch, n)``); each η is the
+    per-neuron ``(n,)`` vector, or ``(draws, 1, n)`` with one draw per
+    Monte-Carlo instance.  With ``s = x − η₃``, ``t = tanh(s·η₄)`` and
+    upstream gradient ``g``, the backward computes, in the interpreter's
+    order: ``g·η₂``, ``1 − t²``, their product ``gu``, ``·η₄`` (giving
+    ``gs``), ``g·t``, ``gu·s`` and ``−gs`` — then reduces each to its
+    input's shape exactly as the ladder's per-node ``_unbroadcast``
+    did, so every gradient is bit-equal to it.
+    """
+
+    @staticmethod
+    def forward(
+        ctx: FunctionContext,
+        x: np.ndarray,
+        eta1: np.ndarray,
+        eta2: np.ndarray,
+        eta3: np.ndarray,
+        eta4: np.ndarray,
+    ) -> np.ndarray:
+        """``η₁ + η₂·tanh((x − η₃)·η₄)``; saves ``x − η₃`` and the tanh."""
+        shifted = x - eta3
+        t = shifted * eta4
+        np.tanh(t, out=t)
+        out = eta2 * t
+        ctx.save_for_backward(shifted, t, eta2, eta4)
+        ctx.shapes = (x.shape, eta1.shape, eta2.shape, eta3.shape, eta4.shape)
+        return np.add(eta1, out, out=out if out.dtype == eta1.dtype else None)
+
+    @staticmethod
+    def backward(
+        ctx: FunctionContext, grad: np.ndarray
+    ) -> Tuple[Optional[np.ndarray], ...]:
+        """Gradients for ``x`` and the four η, in their shapes."""
+        shifted, t, eta2, eta4 = ctx.saved
+        need_x, need_1, need_2, need_3, need_4 = ctx.needs_input_grad
+        x_shape, shape1, shape2, shape3, shape4 = ctx.shapes
+        grad_1 = _unbroadcast(grad, shape1) if need_1 else None
+        grad_2 = _unbroadcast(grad * t, shape2) if need_2 else None
+        grad_x = grad_3 = grad_4 = None
+        if need_x or need_3 or need_4:
+            # tanh backward: gu = (g·η₂)·(1 − t²).  ``t * t`` is the
+            # interpreter's ``t**2`` bit for bit (numpy squares by one
+            # multiply).
+            grad_u = grad * eta2
+            sech2 = t * t
+            np.subtract(1.0, sech2, out=sech2)
+            grad_u *= sech2
+            if need_4:
+                grad_4 = _unbroadcast(grad_u * shifted, shape4)
+            grad_s = grad_u  # gu is dead after its η₄ product: reuse it
+            grad_s *= eta4
+            if need_3:
+                grad_3 = _unbroadcast(-grad_s, shape3)
+            if need_x:
+                grad_x = _unbroadcast(grad_s, x_shape)
+        return grad_x, grad_1, grad_2, grad_3, grad_4
+
+
+def printed_tanh(
+    x: ArrayLike, eta1: ArrayLike, eta2: ArrayLike, eta3: ArrayLike, eta4: ArrayLike
+) -> Tensor:
+    """Differentiable printed tanh ``η₁ + η₂·tanh((x − η₃)·η₄)`` (see
+    :class:`PrintedTanhFn` for the shapes)."""
+    return PrintedTanhFn.apply(x, eta1, eta2, eta3, eta4)

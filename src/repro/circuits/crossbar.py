@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..autograd import Tensor
+from ..autograd import Tensor, crossbar_affine
 from ..nn.module import Module, Parameter
 from .pdk import DEFAULT_PDK, PrintedPDK
 from .variation import VariationSampler, ideal_sampler
@@ -141,9 +141,10 @@ class PrintedCrossbar(Module):
         weights = path * g_eps / denom.unsqueeze(-1)  # (..., out, in)
         bias_sign = Tensor(np.sign(self.theta_b.data))
         bias = bias_sign * gb_eps / denom * self.pdk.supply_voltage  # (..., out)
-        # Batched matmul broadcasts (batch, in) @ (draws, in, out) to
-        # (draws, batch, out) — one numpy GEMM per draw, no Python loop.
-        return x @ weights.swapaxes(-1, -2) + bias.unsqueeze(-2)
+        # One fused node for x @ Wᵀ + b.  Batched matmul broadcasts
+        # (batch, in) @ (draws, in, out) to (draws, batch, out) — one
+        # numpy GEMM per draw, no Python loop.
+        return crossbar_affine(x, weights, bias)
 
     # -- hardware accounting ---------------------------------------------------
 

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..autograd import Tensor
+from ..autograd import Tensor, printed_tanh
 from ..nn.module import Module, Parameter
 from .variation import VariationSampler, ideal_sampler
 
@@ -79,11 +79,11 @@ class PrintedTanh(Module):
         if e1.ndim == 2:
             # (draws, n) -> (draws, 1, n): broadcast over the batch axis.
             e1, e2, e3, e4 = (e.unsqueeze(1) for e in (e1, e2, e3, e4))
-        eta1 = self.eta1 * e1
-        eta2 = self.eta2 * e2
-        eta3 = self.eta3 * e3
-        eta4 = self.eta4 * e4
-        return eta1 + eta2 * ((x - eta3) * eta4).tanh()
+        # The (n,)-sized η variation stays in Tensor ops; the full-size
+        # transfer is one fused node.
+        return printed_tanh(
+            x, self.eta1 * e1, self.eta2 * e2, self.eta3 * e3, self.eta4 * e4
+        )
 
     def __repr__(self) -> str:
         return f"PrintedTanh(num_neurons={self.num_neurons})"

@@ -28,7 +28,10 @@ mirrored operation-for-operation:
   ``((sign·g_b) / denom) · V_dd``;
 * the weight matrix is stored C-contiguous ``(out, in)`` and the GEMM
   runs on its ``swapaxes(-1, -2)`` view — the same memory layout the
-  live crossbar hands BLAS, so the same kernel runs.
+  live crossbar hands BLAS, so the same kernel runs;
+* like the live model's final-step readout, the last layer's affine and
+  ptanh see only the final step of its scan, so both sides run GEMMs of
+  the same shape.
 
 Plans are plainly picklable (the scratch arena is dropped and rebuilt
 lazily), which is how the serving tier ships them to worker processes.
@@ -319,9 +322,15 @@ class ForwardPlan:
     def forward(self, x) -> np.ndarray:
         """Logits ``(batch, n_classes)`` for a batch of series."""
         seq = self._validate_batch(x)
+        last = len(self.layers) - 1
         for li, layer in enumerate(self.layers):
             for si, (a, b) in enumerate(layer.stages):
                 seq = self._scan(seq, a, b, (li, si))
+            if li == last:
+                # The live model's final-step readout: the last layer's
+                # affine/ptanh see the final step only, so both sides
+                # run GEMMs of the same shape.
+                seq = seq[:, -1:, :]
             batch, steps = seq.shape[0], seq.shape[1]
             flat = seq.reshape(batch * steps, layer.in_features)
             mm = flat @ layer.weights.swapaxes(-1, -2)

@@ -180,9 +180,12 @@ class PrintedTemporalClassifier(Module):
         leading draws axis: ``(draws, batch, n_classes)``.
         """
         seq = _coerce_sequences(x, self.in_channels)
-        for block in self.blocks:
+        *hidden, output = self.blocks
+        for block in hidden:
             seq = block(seq)
-        return seq[..., -1, :] * self.logit_scale
+        # Only the final step is read, so the output block's crossbar
+        # and ptanh run on that step alone (exact: both are memoryless).
+        return output.final_step(seq) * self.logit_scale
 
 
 class PTPNC(PrintedTemporalClassifier):

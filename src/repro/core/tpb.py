@@ -10,6 +10,9 @@ One block chains, per layer of the network:
 
 The crossbar and activation are memoryless, so they are applied to the
 time axis in one flattened batch; the filters carry the temporal state.
+A classifier's output block needs the final step alone
+(:meth:`PrintedTemporalProcessingBlock.final_step`): its crossbar and
+activation then skip every other step.
 Each forward call draws a single set of variation factors ε / coupling
 factors μ / initial voltages V₀ from the block's sampler — a printed
 circuit instance is one fixed draw, constant over a sequence.
@@ -102,6 +105,10 @@ class PrintedTemporalProcessingBlock(Module):
         """Select the filter bank's recurrence evaluation backend."""
         self.filters.set_scan_backend(backend)
 
+    def _check_input(self, x: Tensor) -> None:
+        if x.ndim not in (3, 4) or x.shape[-1] != self.in_features:
+            raise ValueError(f"expected (batch, time, {self.in_features}), got {x.shape}")
+
     def forward(self, x: Tensor) -> Tensor:
         """Process a voltage sequence ``(batch, time, in_features)``.
 
@@ -111,8 +118,7 @@ class PrintedTemporalProcessingBlock(Module):
         axis (or be broadcast across draws), and the output is
         ``(draws, batch, time, out_features)``.
         """
-        if x.ndim not in (3, 4) or x.shape[-1] != self.in_features:
-            raise ValueError(f"expected (batch, time, {self.in_features}), got {x.shape}")
+        self._check_input(x)
         steps = x.shape[-2]
         filtered = self.filters(x)
         if filtered.ndim == 4:
@@ -130,6 +136,21 @@ class PrintedTemporalProcessingBlock(Module):
         summed = self.crossbar(flat)
         activated = self.activation(summed)
         return activated.reshape(batch, steps, self.out_features)
+
+    def final_step(self, x: Tensor) -> Tensor:
+        """Output voltages at the last time step only.
+
+        Runs the filter bank over the whole ``(batch, time,
+        in_features)`` sequence (the filters carry the temporal state),
+        then the memoryless crossbar and activation on the final step's
+        ``(batch, in_features)`` slice alone.  Equal to
+        ``self(x)[..., -1, :]`` at a 1/time share of the crossbar and
+        ptanh work — what a classifier that reads its class from the
+        final step needs.  Returns ``(batch, out_features)``, with a
+        leading ``draws`` axis inside a batched-draws sampler context.
+        """
+        self._check_input(x)
+        return self.activation(self.crossbar(self.filters(x)[..., -1, :]))
 
     def __repr__(self) -> str:
         return (

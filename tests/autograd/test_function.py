@@ -6,7 +6,11 @@ coercion, single-node graph wiring, broadcast-aware gradient routing,
 the :func:`~repro.autograd.filter_scan` kernel built on it: analytic
 adjoint vs central finite differences at the paper's coupling-factor
 corners (μ = 1 unloaded, μ = 1.3 fully coupled) and across Monte-Carlo
-draw counts, plus bit-equality with the node-per-step oracle.
+draw counts, plus bit-equality with the node-per-step oracle; and the
+:func:`~repro.autograd.crossbar_affine` / :func:`~repro.autograd.printed_tanh`
+nodes, whose forward values and every input gradient must be bit-equal
+to the op-by-op Tensor ladders they replace (written out below as the
+oracles) in float64 and float32, sequential and Monte-Carlo batched.
 """
 
 import numpy as np
@@ -16,8 +20,11 @@ from repro.autograd import (
     Function,
     FunctionContext,
     Tensor,
+    crossbar_affine,
     filter_scan,
     no_grad,
+    printed_tanh,
+    use_precision,
 )
 from repro.autograd.grad_check import check_gradients
 from repro.circuits.filters import _unfused_recurrence
@@ -186,3 +193,126 @@ class TestFilterScan:
         xo = Tensor(x, requires_grad=True)
         _unfused_recurrence(xo, Tensor(a), Tensor(b), Tensor(v0)).sum().backward()
         np.testing.assert_allclose(xt.grad, xo.grad, atol=1e-12)
+
+
+# -- crossbar affine and printed tanh vs their op-by-op ladders -------------
+
+
+def _affine_ladder(x, weights, bias):
+    """The interpreted crossbar read-out the fused node replaces."""
+    return x @ weights.swapaxes(-1, -2) + bias.unsqueeze(-2)
+
+
+def _ptanh_ladder(x, eta1, eta2, eta3, eta4):
+    """The interpreted printed-tanh transfer the fused node replaces."""
+    return eta1 + eta2 * ((x - eta3) * eta4).tanh()
+
+
+#: Input layouts: sequential (batch, n) with (n,) parameters; batched
+#: Monte-Carlo (draws, batch, n) with per-draw parameters; and a shared
+#: (batch, n) input broadcast over per-draw parameters.
+LAYOUTS = ("sequential", "batched", "shared")
+DRAWS, BATCH, N_IN, N_OUT = 3, 7, 5, 4
+
+
+def _affine_inputs(rng, layout, dtype):
+    draws = () if layout == "sequential" else (DRAWS,)
+    x_lead = (DRAWS,) if layout == "batched" else ()
+    return [
+        rng.normal(size=x_lead + (BATCH, N_IN)).astype(dtype),
+        rng.normal(0, 0.3, draws + (N_OUT, N_IN)).astype(dtype),
+        rng.normal(0, 0.3, draws + (N_OUT,)).astype(dtype),
+    ]
+
+
+def _ptanh_inputs(rng, layout, dtype):
+    eta_shape = (N_OUT,) if layout == "sequential" else (DRAWS, 1, N_OUT)
+    x_lead = (DRAWS,) if layout == "batched" else ()
+    return [
+        rng.normal(size=x_lead + (BATCH, N_OUT)).astype(dtype),
+        rng.normal(0, 0.05, eta_shape).astype(dtype),
+        rng.uniform(0.8, 1.2, eta_shape).astype(dtype),
+        rng.normal(0, 0.05, eta_shape).astype(dtype),
+        rng.uniform(1.5, 2.5, eta_shape).astype(dtype),
+    ]
+
+
+def _run(fn, arrays, requires, weight):
+    """Forward ``fn``, backprop a non-uniform upstream gradient."""
+    inputs = [Tensor(a, requires_grad=r) for a, r in zip(arrays, requires)]
+    out = fn(*inputs)
+    (out * Tensor(weight)).sum().backward()
+    return out, inputs
+
+
+def _assert_bit_equal_to_ladder(fn, ladder, arrays, requires, dtype, rng):
+    with use_precision(np.dtype(dtype).name):
+        weight = rng.normal(size=ladder(*map(Tensor, arrays)).shape).astype(dtype)
+        fused, fused_in = _run(fn, arrays, requires, weight)
+        oracle, oracle_in = _run(ladder, arrays, requires, weight)
+    assert fused.data.dtype == oracle.data.dtype == dtype
+    assert np.array_equal(fused.data, oracle.data)
+    assert len(fused._parents) == sum(requires)  # one node, not a ladder
+    for tf, to, need in zip(fused_in, oracle_in, requires):
+        if not need:
+            assert tf.grad is None and to.grad is None
+            continue
+        assert tf.grad.shape == tf.shape and tf.grad.dtype == to.grad.dtype
+        assert np.array_equal(tf.grad, to.grad)
+
+
+DTYPES = (np.float64, np.float32)
+
+
+class TestCrossbarAffine:
+    @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_bit_equal_to_ladder(self, rng, layout, dtype):
+        _assert_bit_equal_to_ladder(
+            crossbar_affine, _affine_ladder, _affine_inputs(rng, layout, dtype),
+            (True, True, True), dtype, rng,
+        )
+
+    @pytest.mark.parametrize("requires", [(False, True, True), (True, False, False)])
+    @pytest.mark.parametrize("layout", ("sequential", "batched"))
+    def test_skips_inputs_without_grad(self, rng, layout, requires):
+        _assert_bit_equal_to_ladder(
+            crossbar_affine, _affine_ladder, _affine_inputs(rng, layout, np.float64),
+            requires, np.float64, rng,
+        )
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_finite_differences(self, rng, layout):
+        assert check_gradients(
+            lambda x, w, b: (crossbar_affine(x, w, b) ** 2).mean(),
+            _affine_inputs(rng, layout, np.float64),
+        )
+
+
+class TestPrintedTanh:
+    @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_bit_equal_to_ladder(self, rng, layout, dtype):
+        _assert_bit_equal_to_ladder(
+            printed_tanh, _ptanh_ladder, _ptanh_inputs(rng, layout, dtype),
+            (True,) * 5, dtype, rng,
+        )
+
+    @pytest.mark.parametrize(
+        "requires",
+        [(False, True, True, True, True), (True, False, False, False, False),
+         (False, False, True, False, False), (False, False, False, True, True)],
+    )
+    @pytest.mark.parametrize("layout", ("sequential", "batched"))
+    def test_skips_inputs_without_grad(self, rng, layout, requires):
+        _assert_bit_equal_to_ladder(
+            printed_tanh, _ptanh_ladder, _ptanh_inputs(rng, layout, np.float64),
+            requires, np.float64, rng,
+        )
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_finite_differences(self, rng, layout):
+        assert check_gradients(
+            lambda *args: (printed_tanh(*args) ** 2).mean(),
+            _ptanh_inputs(rng, layout, np.float64),
+        )

@@ -49,6 +49,16 @@ class TestParity:
         plan = compile_plan(model)
         assert np.array_equal(plan(x), _live_logits(model, x))
 
+    @pytest.mark.parametrize("cls", [PTPNC, AdaptPNC])
+    @pytest.mark.parametrize("batch,steps", [(5, 1), (1, 24), (1, 1)])
+    def test_bit_equal_edge_shapes(self, cls, batch, steps, rng):
+        """A one-step sequence and a one-row batch: the final-step
+        readout runs the same (batch, n) GEMM on both sides."""
+        model = cls(3, rng=np.random.default_rng(8))
+        x = _batch(rng, batch=batch, steps=steps)
+        plan = compile_plan(model)
+        assert np.array_equal(plan(x), _live_logits(model, x))
+
     @pytest.mark.parametrize("policy", ["float32", "mixed"])
     def test_bit_equal_reduced_precision(self, policy, rng):
         """Model built and evaluated under the same policy: still bit-equal."""
